@@ -1,9 +1,10 @@
 """Tracked envelope-algebra benchmarks: ``python -m repro bench --suite envelopes``.
 
 Micro tier: each vectorized hot kernel (pointwise minimum, addition, n-ary
-sum, horizontal deviation, batched pseudo-inverse) timed on deterministic
-curve pairs at 10 / 100 / 1000 segments, against the pure-Python reference
-implementation of :mod:`repro.envelopes.reference`.  The committed
+sum, horizontal deviation, batched pseudo-inverse, Theorem 1(4)
+deconvolution) timed on deterministic curve pairs at 10 / 100 / 1000
+segments, against the pure-Python reference implementation of
+:mod:`repro.envelopes.reference`.  The committed
 ``BENCH_envelopes.json`` records ``speedup_vs_reference`` — the acceptance
 gate is >= 3x on the 100-segment min/add/deviation kernels.
 
@@ -26,7 +27,8 @@ import numpy as np
 
 from repro.envelopes import reference as ref
 from repro.envelopes.curve import Curve, sum_curves
-from repro.envelopes.operations import horizontal_deviation
+from repro.envelopes.operations import busy_interval, deconvolve, horizontal_deviation
+from repro.envelopes.staircase import timed_token_staircase
 from repro.units import US_PER_S
 
 #: Micro-bench segment counts (the quick tier drops the largest).
@@ -41,15 +43,18 @@ MACRO_SEED = 1
 
 @dataclasses.dataclass(frozen=True)
 class EnvelopeBenchResult:
-    """One kernel at one size: vectorized vs reference medians (seconds)."""
+    """One kernel at one size: vectorized vs reference medians (seconds).
+
+    The reference fields are ``None`` where the reference is not timed.
+    """
 
     name: str
     segments: int
     rounds: int
     median_s: float
     p90_s: float
-    ref_median_s: float
-    speedup_vs_reference: float
+    ref_median_s: Optional[float]
+    speedup_vs_reference: Optional[float]
 
 
 def _time_rounds(fn: Callable[[], object], rounds: int, warmup: int) -> List[float]:
@@ -101,7 +106,19 @@ def _fixtures(n: int) -> Dict[str, Curve]:
         np.concatenate([np.zeros(n - 1), [1.1e6]]),
         validate=False,
     )
-    return {"arrival": arrival, "other": other, "service": service}
+    # Theorem 1(4) inputs: an n-step timed-token availability staircase and
+    # an arrival staircase whose 16 ms busy interval spans a few service
+    # steps.  The candidate grid is about 3n points, so the 1000-segment
+    # case is thinned to 512.
+    tt_service = timed_token_staircase(0.002, 0.008, 1.0e8, n_steps=n)
+    tt_arrival = _staircase(n, gap=0.003, burst=30000.0, rate=1.0e7)
+    return {
+        "arrival": arrival,
+        "other": other,
+        "service": service,
+        "tt_service": tt_service,
+        "tt_arrival": tt_arrival,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -112,6 +129,13 @@ def _micro_kernels(fx: Dict[str, Curve]) -> Dict[str, Dict[str, Callable[[], obj
     a, b, s = fx["arrival"], fx["other"], fx["service"]
     sum_inputs = [a, b, a.shift_right(0.0013), b.shift_right(0.0007)]
     inv_values = np.linspace(0.0, float(a(0.5)), 256)
+    tt_a, tt_s = fx["tt_arrival"], fx["tt_service"]
+    busy = busy_interval(tt_a, tt_s)
+    deconv: Dict[str, Callable[[], object]] = {"vec": lambda: deconvolve(tt_a, tt_s, busy)}
+    if len(tt_a.xs) < 1000:
+        # The reference neither thins nor finishes in seconds at 1000
+        # segments (~7 s per call), so it is timed below that only.
+        deconv["ref"] = lambda: ref.ref_deconvolve(tt_a, tt_s, busy)
     return {
         "min": {
             "vec": lambda: a.minimum(b),
@@ -133,6 +157,7 @@ def _micro_kernels(fx: Dict[str, Curve]) -> Dict[str, Dict[str, Callable[[], obj
             "vec": lambda: a.pseudo_inverse_many(inv_values),
             "ref": lambda: [ref.ref_pseudo_inverse(a, float(y)) for y in inv_values],
         },
+        "deconvolve": deconv,
     }
 
 
@@ -147,10 +172,13 @@ def run_micro_benches(quick: bool = False) -> List[EnvelopeBenchResult]:
         rounds, warmup = (5, 1) if n >= 1000 else (9, 2)
         for name, impls in kernels.items():
             t_vec = _time_rounds(impls["vec"], rounds, warmup)
-            ref_rounds = 3 if n >= 1000 else rounds
-            t_ref = _time_rounds(impls["ref"], ref_rounds, 1)
             median = statistics.median(t_vec)
-            ref_median = statistics.median(t_ref)
+            ref_median: Optional[float] = None
+            speedup: Optional[float] = None
+            if "ref" in impls:
+                ref_rounds = 3 if n >= 1000 else rounds
+                ref_median = statistics.median(_time_rounds(impls["ref"], ref_rounds, 1))
+                speedup = ref_median / median if median > 0 else 0.0
             results.append(
                 EnvelopeBenchResult(
                     name=name,
@@ -159,7 +187,7 @@ def run_micro_benches(quick: bool = False) -> List[EnvelopeBenchResult]:
                     median_s=median,
                     p90_s=_p90(t_vec),
                     ref_median_s=ref_median,
-                    speedup_vs_reference=ref_median / median if median > 0 else 0.0,
+                    speedup_vs_reference=speedup,
                 )
             )
     return results
@@ -265,11 +293,16 @@ def format_report(payload: Dict[str, Any]) -> str:
         f"  {'kernel':22s} {'segs':>5s} {'median':>10s} {'reference':>11s} {'speedup':>8s}",
     ]
     for r in payload["results"]:
+        if r["ref_median_s"] is None:
+            versus = f"{'-':>11s} {'-':>8s}"
+        else:
+            versus = (
+                f"{r['ref_median_s'] * US_PER_S:9.1f}us "
+                f"{r['speedup_vs_reference']:7.1f}x"
+            )
         lines.append(
             f"  {r['name']:22s} {r['segments']:5d} "
-            f"{r['median_s'] * US_PER_S:8.1f}us "
-            f"{r['ref_median_s'] * US_PER_S:9.1f}us "
-            f"{r['speedup_vs_reference']:7.1f}x"
+            f"{r['median_s'] * US_PER_S:8.1f}us {versus}"
         )
     macro = payload["macro"]
     lines.append("")

@@ -169,6 +169,17 @@ def token_bucket_majorant(curve: Curve) -> Tuple[float, float]:
     return max(0.0, sigma), rho
 
 
+def thin_index(n: int, max_breakpoints: int) -> np.ndarray:
+    """Sorted positions ``int(k * n / max_breakpoints)`` plus both endpoints.
+
+    The indices :func:`deconvolve` keeps when its candidate grid of ``n``
+    points exceeds ``max_breakpoints``.
+    """
+    step = n / float(max_breakpoints)
+    idx = (np.arange(max_breakpoints) * step).astype(np.int64)
+    return np.unique(np.concatenate([[0, n - 1], idx]))
+
+
 def deconvolve(
     arrival: Curve,
     service: Curve,
@@ -223,10 +234,7 @@ def deconvolve(
     i_arr = np.unique(np.concatenate([[0.0, float(i_max)], diffs, ax_inner]))
     thinned = len(i_arr) > max_breakpoints
     if thinned:
-        # Thin the grid but always keep the endpoints.
-        step = len(i_arr) / float(max_breakpoints)
-        idx = sorted({0, len(i_arr) - 1} | {int(k * step) for k in range(max_breakpoints)})
-        i_arr = i_arr[np.asarray(idx)]
+        i_arr = i_arr[thin_index(len(i_arr), max_breakpoints)]
 
     # Branch 1 (service-relative candidates): sup over t in t_base of
     # A(t + I) - S(t), vectorized as a |I| x |t| matrix.  The evaluation of
@@ -248,13 +256,24 @@ def deconvolve(
         values[lo:lo + chunk] = np.max(a_matrix - s_base[None, :], axis=1)
 
     # Branch 2 (arrival-relative candidates): t = ax - I for each arrival
-    # breakpoint ax; there A jumps to its right value ys[k].
-    if len(arrival.xs):
-        t_mat = arrival.xs[None, :] - i_arr[:, None]
-        valid = (t_mat >= 0.0) & (t_mat <= t_limit)
-        s_vals = service(np.where(valid, t_mat, 0.0).ravel()).reshape(t_mat.shape)
-        branch2 = np.where(valid, arrival.ys[None, :] - s_vals, -math.inf)
-        values = np.maximum(values, np.max(branch2, axis=1))
+    # breakpoint ax; there A jumps to its right value ys[k].  Only the band
+    # I <= ax <= I + t_limit can hold a valid t, so each row's columns are
+    # located with two searchsorted calls, widened by a hair so rounding
+    # cannot drop one.  The exact validity test on the band then keeps
+    # precisely the (I, t) pairs a dense |I| x |A| evaluation would; each
+    # value is the same ys[k] - S(t) and the row maximum only selects, so
+    # the result is bit-identical to the dense form.
+    pad = 1e-9 * (1.0 + t_limit + i_arr)
+    first = np.searchsorted(axs, i_arr - pad, side="left")
+    counts = np.searchsorted(axs, i_arr + t_limit + pad, side="right") - first
+    starts = np.cumsum(counts) - counts
+    rows = np.repeat(np.arange(len(i_arr)), counts)
+    cols = np.arange(int(counts.sum())) + np.repeat(first - starts, counts)
+    t_band = axs[cols] - i_arr[rows]
+    valid = (t_band >= 0.0) & (t_band <= t_limit)
+    branch2 = np.where(valid, ays[cols] - service(np.where(valid, t_band, 0.0)), -math.inf)
+    hit = counts > 0
+    values[hit] = np.maximum(values[hit], np.maximum.reduceat(branch2, starts[hit]))
 
     # O is non-decreasing in I; enforce against numerical noise.
     values = np.maximum.accumulate(values)

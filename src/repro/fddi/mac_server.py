@@ -20,6 +20,7 @@ Each maps directly onto an exact envelope-algebra operation.
 from __future__ import annotations
 
 import math
+from typing import Protocol
 
 from repro.envelopes.curve import Curve
 from repro.envelopes.operations import (
@@ -32,6 +33,82 @@ from repro.envelopes.staircase import timed_token_staircase
 from repro.errors import BufferOverflowError, ConfigurationError, UnstableSystemError
 from repro.servers.base import DedicatedServer, ServerAnalysis
 from repro.units import MS_PER_S
+
+
+class StaircaseMacServer(Protocol):
+    """What :func:`theorem1_analysis` reads from a token-ring MAC server."""
+
+    name: str
+    bandwidth: float
+    buffer_bits: float
+    max_steps: int
+
+    @property
+    def guaranteed_rate(self) -> float: ...
+
+    def availability(self, n_steps: int) -> Curve: ...
+
+
+def theorem1_analysis(
+    server: StaircaseMacServer, arrival: Curve, period: float
+) -> ServerAnalysis:
+    """Theorem 1 for ``arrival`` through ``server``'s availability staircase.
+
+    ``period`` is the staircase's step period (TTRT for FDDI, the token
+    cycle for 802.5).  Shared by every timed-token-shaped MAC server.
+
+    Raises
+    ------
+    UnstableSystemError
+        If the long-term arrival rate exceeds the guaranteed service
+        rate (the busy interval — and hence the delay — is unbounded).
+    BufferOverflowError
+        If the worst-case backlog exceeds ``buffer_bits`` (Theorem 1
+        case ``F > S``: infinite delay).
+    """
+    name, rate = server.name, server.guaranteed_rate
+    if arrival.final_slope > rate * (1 + 1e-12):
+        raise UnstableSystemError(
+            f"{name}: arrival rate {arrival.final_slope:.6g} b/s exceeds "
+            f"guaranteed synchronous rate {rate:.6g} b/s"
+        )
+
+    # Adaptively size the exact staircase horizon to cover the busy
+    # interval.  The affine tail under-estimates service, so a busy
+    # interval computed within the horizon is exact; one that lands in
+    # the tail region prompts a larger horizon.
+    n_steps = 32
+    while True:
+        avail = server.availability(n_steps)
+        b = busy_interval(arrival, avail)
+        if math.isinf(b):
+            raise UnstableSystemError(f"{name}: busy interval is unbounded")
+        if b <= (n_steps - 1) * period or n_steps >= server.max_steps:
+            break
+        n_steps = min(server.max_steps, n_steps * 4)
+
+    backlog = vertical_deviation(arrival, avail, t_max=b)
+    if backlog > server.buffer_bits + 1e-9:
+        raise BufferOverflowError(
+            f"{name}: worst-case backlog {backlog:.6g} bits exceeds "
+            f"buffer {server.buffer_bits:.6g} bits"
+        )
+    delay = horizontal_deviation(arrival, avail, t_max=b)
+    if math.isinf(delay):
+        raise UnstableSystemError(
+            f"{name}: unbounded delay (service plateau below arrivals)"
+        )
+
+    # Theorem 1(4): output envelope, capped at the ring rate.
+    raw_output = deconvolve(arrival, avail, t_limit=b)
+    output = raw_output.minimum(Curve.affine(0.0, server.bandwidth))
+
+    return ServerAnalysis(
+        delay_bound=delay,
+        output=output,
+        backlog_bound=backlog,
+        busy_interval=b,
+    )
 
 
 class FDDIMacServer(DedicatedServer):
@@ -110,66 +187,12 @@ class FDDIMacServer(DedicatedServer):
         return avail
 
     def analyze(self, arrival: Curve) -> ServerAnalysis:
-        """Run Theorem 1 for ``arrival``; see class docstring.
-
-        Raises
-        ------
-        UnstableSystemError
-            If the long-term arrival rate exceeds the guaranteed service
-            rate (the busy interval — and hence the delay — is unbounded).
-        BufferOverflowError
-            If the worst-case backlog exceeds ``buffer_bits`` (Theorem 1
-            case ``F > S``: infinite delay).
-        """
+        """Run Theorem 1 for ``arrival``; see :func:`theorem1_analysis`."""
         if self.sync_time == 0.0:
             raise UnstableSystemError(
                 f"{self.name}: zero synchronous allocation cannot serve traffic"
             )
-        rate = self.guaranteed_rate
-        if arrival.final_slope > rate * (1 + 1e-12):
-            raise UnstableSystemError(
-                f"{self.name}: arrival rate {arrival.final_slope:.6g} b/s exceeds "
-                f"guaranteed synchronous rate {rate:.6g} b/s"
-            )
-
-        # Adaptively size the exact staircase horizon to cover the busy
-        # interval.  The affine tail under-estimates service, so a busy
-        # interval computed within the horizon is exact; one that lands in
-        # the tail region prompts a larger horizon.
-        n_steps = 32
-        while True:
-            avail = self.availability(n_steps)
-            b = busy_interval(arrival, avail)
-            if math.isinf(b):
-                raise UnstableSystemError(
-                    f"{self.name}: busy interval is unbounded"
-                )
-            if b <= (n_steps - 1) * self.ttrt or n_steps >= self.max_steps:
-                break
-            n_steps = min(self.max_steps, n_steps * 4)
-
-        backlog = vertical_deviation(arrival, avail, t_max=b)
-        if backlog > self.buffer_bits + 1e-9:
-            raise BufferOverflowError(
-                f"{self.name}: worst-case backlog {backlog:.6g} bits exceeds "
-                f"buffer {self.buffer_bits:.6g} bits"
-            )
-        delay = horizontal_deviation(arrival, avail, t_max=b)
-        if math.isinf(delay):
-            raise UnstableSystemError(
-                f"{self.name}: unbounded delay (service plateau below arrivals)"
-            )
-
-        # Theorem 1(4): output envelope, capped at the ring rate.
-        raw_output = deconvolve(arrival, avail, t_limit=b)
-        output = raw_output.minimum(Curve.affine(0.0, self.bandwidth))
-
-        return ServerAnalysis(
-            delay_bound=delay,
-            output=output,
-            backlog_bound=backlog,
-            busy_interval=b,
-        )
+        return theorem1_analysis(self, arrival, period=self.ttrt)
 
     def cache_key(self):
         return (

@@ -29,14 +29,9 @@ import math
 from typing import Sequence
 
 from repro.envelopes.curve import Curve
-from repro.envelopes.operations import (
-    busy_interval,
-    deconvolve,
-    horizontal_deviation,
-    vertical_deviation,
-)
 from repro.envelopes.staircase import timed_token_staircase
-from repro.errors import BufferOverflowError, ConfigurationError, UnstableSystemError
+from repro.errors import ConfigurationError, UnstableSystemError
+from repro.fddi.mac_server import theorem1_analysis
 from repro.servers.base import DedicatedServer, ServerAnalysis
 from repro.units import MS_PER_S
 
@@ -116,38 +111,7 @@ class TokenRing8025MacServer(DedicatedServer):
             raise UnstableSystemError(
                 f"{self.name}: zero holding time cannot serve traffic"
             )
-        rate = self.guaranteed_rate
-        if arrival.final_slope > rate * (1 + 1e-12):
-            raise UnstableSystemError(
-                f"{self.name}: arrival rate {arrival.final_slope:.6g} b/s exceeds "
-                f"guaranteed rate {rate:.6g} b/s"
-            )
-        n_steps = 32
-        while True:
-            avail = self.availability(n_steps)
-            b = busy_interval(arrival, avail)
-            if math.isinf(b):
-                raise UnstableSystemError(f"{self.name}: unbounded busy interval")
-            if b <= (n_steps - 1) * self.cycle_time or n_steps >= self.max_steps:
-                break
-            n_steps = min(self.max_steps, n_steps * 4)
-        backlog = vertical_deviation(arrival, avail, t_max=b)
-        if backlog > self.buffer_bits + 1e-9:
-            raise BufferOverflowError(
-                f"{self.name}: backlog {backlog:.6g} bits exceeds buffer"
-            )
-        delay = horizontal_deviation(arrival, avail, t_max=b)
-        if math.isinf(delay):
-            raise UnstableSystemError(f"{self.name}: unbounded delay")
-        output = deconvolve(arrival, avail, t_limit=b).minimum(
-            Curve.affine(0.0, self.bandwidth)
-        )
-        return ServerAnalysis(
-            delay_bound=delay,
-            output=output,
-            backlog_bound=backlog,
-            busy_interval=b,
-        )
+        return theorem1_analysis(self, arrival, period=self.cycle_time)
 
     def cache_key(self):
         return (

@@ -2,15 +2,22 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.envelopes.curve import Curve
+from repro.envelopes.curve import EPS, Curve
 from repro.envelopes.operations import (
     busy_interval,
     deconvolve,
     horizontal_deviation,
+    thin_index,
     vertical_deviation,
 )
+from repro.fddi import FDDIMacServer
+from repro.fddi.token_ring_802_5 import TokenRing8025MacServer
+from repro.traffic import DualPeriodicTraffic
 
 
 class TestBusyInterval:
@@ -149,7 +156,6 @@ class TestDeconvolve:
         service = Curve.affine(0.0, 3.0)
         b = busy_interval(arrival, service)
         out = deconvolve(arrival, service, t_limit=b)
-        import numpy as np
 
         for big_i in np.linspace(0.0, 8.0, 33):
             ts = np.linspace(0.0, b, 200)
@@ -169,8 +175,135 @@ class TestDeconvolve:
         service = Curve.affine(0.0, 2.0)
         b = busy_interval(arrival, service)
         out = deconvolve(arrival, service, t_limit=b)
-        import numpy as np
 
         grid = np.linspace(0, 10, 101)
         vals = out(grid)
         assert all(vals[i + 1] >= vals[i] - 1e-9 for i in range(len(vals) - 1))
+
+
+# ----------------------------------------------------------------------
+# Banded branch 2 of deconvolve: bit-identical to the dense evaluation
+# ----------------------------------------------------------------------
+
+def _dense_deconvolve(arrival, service, t_limit, i_max=None, max_breakpoints=512):
+    """``deconvolve`` as it was before branch 2 was banded.
+
+    Branch 2 evaluates every cell of the |I| x |A| matrix and masks the
+    invalid ones; the thinning index is the per-element set comprehension.
+    """
+    t_limit = max(0.0, t_limit)
+    if i_max is None:
+        i_max = arrival.last_breakpoint + t_limit + EPS
+    inner = service.xs[(service.xs > 0.0) & (service.xs < t_limit)]
+    nudge_src = np.concatenate([service.xs, [t_limit]])
+    nudge_src = nudge_src[(nudge_src > 0.0) & (nudge_src <= t_limit)]
+    nudged = np.maximum(0.0, nudge_src - 1e-9 * np.maximum(1.0, nudge_src))
+    t_base = np.unique(np.concatenate([[0.0, t_limit], inner, nudged]))
+    diffs = (arrival.xs[:, None] - t_base[None, :]).ravel()
+    diffs = diffs[(diffs > 0.0) & (diffs < i_max)]
+    ax_inner = arrival.xs[(arrival.xs > 0.0) & (arrival.xs < i_max)]
+    i_arr = np.unique(np.concatenate([[0.0, float(i_max)], diffs, ax_inner]))
+    thinned = len(i_arr) > max_breakpoints
+    if thinned:
+        step = len(i_arr) / float(max_breakpoints)
+        idx = sorted({0, len(i_arr) - 1} | {int(k * step) for k in range(max_breakpoints)})
+        i_arr = i_arr[np.asarray(idx)]
+    pts = t_base[None, :] + i_arr[:, None]
+    values = np.max(arrival(pts) - service(t_base)[None, :], axis=1)
+    t_mat = arrival.xs[None, :] - i_arr[:, None]
+    valid = (t_mat >= 0.0) & (t_mat <= t_limit)
+    s_vals = service(np.where(valid, t_mat, 0.0).ravel()).reshape(t_mat.shape)
+    branch2 = np.where(valid, arrival.ys[None, :] - s_vals, -math.inf)
+    values = np.maximum.accumulate(np.maximum(values, np.max(branch2, axis=1)))
+    if thinned:
+        ys = np.concatenate([values[1:], values[-1:]])
+        slopes = np.concatenate([np.zeros(len(i_arr) - 1), [arrival.final_slope]])
+        return Curve(i_arr, ys, slopes, validate=False).simplify()
+    return Curve.from_breakpoints(i_arr, values, final_slope=arrival.final_slope).simplify()
+
+
+def _assert_matches_dense(arrival, service, t_limit, **kwargs):
+    got = deconvolve(arrival, service, t_limit, **kwargs)
+    want = _dense_deconvolve(arrival, service, t_limit, **kwargs)
+    assert np.array_equal(got.xs, want.xs)
+    assert np.array_equal(got.ys, want.ys)
+    assert np.array_equal(got.slopes, want.slopes)
+
+
+def _dual_periodic(c1, p1, n_bursts, duty, horizon):
+    c2 = c1 / n_bursts
+    return DualPeriodicTraffic(c1=c1, p1=p1, c2=c2, p2=duty * p1 / n_bursts).envelope(horizon)
+
+
+def _mac_staircase(kind, alloc, period, n_steps):
+    if kind == "fddi":
+        return FDDIMacServer(alloc, period, 100e6).availability(n_steps)
+    return TokenRing8025MacServer(alloc, period, 16e6).availability(n_steps)
+
+
+class TestDeconvolveBandExactness:
+    """``deconvolve`` equals the dense oracle bit for bit (``np.array_equal``)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["fddi", "802.5"]),
+        alloc_frac=st.floats(0.05, 0.5),
+        period=st.floats(0.004, 0.02),
+        n_steps=st.sampled_from([8, 32, 128]),
+        c1=st.floats(2_000.0, 60_000.0),
+        p1=st.floats(0.01, 0.2),
+        n_bursts=st.integers(1, 6),
+        duty=st.floats(0.2, 1.0),
+        limit=st.sampled_from(["busy", "zero", "breakpoint", "fraction"]),
+        frac=st.floats(0.0, 3.0),
+        max_breakpoints=st.sampled_from([512, 64]),
+    )
+    def test_matches_dense_oracle(
+        self, kind, alloc_frac, period, n_steps, c1, p1, n_bursts, duty, limit, frac,
+        max_breakpoints,
+    ):
+        service = _mac_staircase(kind, alloc_frac * period, period, n_steps)
+        arrival = _dual_periodic(c1, p1, n_bursts, duty, horizon=3 * p1)
+        if limit == "zero":
+            t_limit = 0.0
+        elif limit == "breakpoint":
+            t_limit = float(service.xs[min(len(service.xs) - 1, 1 + int(frac * 5))])
+        elif limit == "busy":
+            t_limit = busy_interval(arrival, service)
+            if math.isinf(t_limit):
+                t_limit = frac * period * n_steps
+        else:
+            t_limit = frac * period * n_steps
+        _assert_matches_dense(arrival, service, t_limit, max_breakpoints=max_breakpoints)
+
+    def test_zero_busy_interval(self):
+        service = _mac_staircase("fddi", 0.002, 0.008, 32)
+        _assert_matches_dense(_dual_periodic(40_000.0, 0.05, 4, 0.5, 0.2), service, 0.0)
+
+    def test_limit_on_service_breakpoint(self):
+        service = _mac_staircase("802.5", 0.001, 0.01, 32)
+        arrival = _dual_periodic(8_000.0, 0.03, 3, 0.6, 0.1)
+        for k in (1, 2, 5, 17):
+            _assert_matches_dense(arrival, service, float(service.xs[k]))
+
+    def test_rows_with_empty_band(self):
+        # Arrival breakpoints 10 s apart, busy interval 1 s: every I in a gap
+        # (and the horizon row) has no arrival breakpoint in [I, I + 1].
+        arrival = Curve([0.0, 10.0, 20.0], [5.0, 10.0, 15.0], [0.0, 0.0, 0.2])
+        service = Curve([0.0, 0.5], [0.0, 4.0], [0.0, 8.0])
+        _assert_matches_dense(arrival, service, 1.0, i_max=50.0)
+
+    def test_thinned_grid(self):
+        service = _mac_staircase("fddi", 0.001, 0.004, 128)
+        arrival = _dual_periodic(50_000.0, 0.02, 5, 0.5, 0.5)
+        _assert_matches_dense(arrival, service, 0.3)
+        out = deconvolve(arrival, service, 0.3)
+        # Only the thinned path returns a staircase through <= 514 samples.
+        assert len(out.xs) <= 514 and np.all(out.slopes[:-1] == 0.0)
+
+    def test_thin_index_matches_set_comprehension(self):
+        m = 512
+        for n in range(m + 1, 5001):
+            step = n / float(m)
+            want = sorted({0, n - 1} | {int(k * step) for k in range(m)})
+            assert np.array_equal(thin_index(n, m), want), n
